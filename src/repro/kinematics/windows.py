@@ -189,6 +189,10 @@ class StreamingWindowBatch:
         self._seen = np.zeros(n_streams, dtype=np.int64)
         self._since_emit = np.zeros(n_streams, dtype=np.int64)
         self._window_offsets = np.arange(config.window)
+        # Duplicate-id check scratch: each pushed id writes its position
+        # into its mark; a duplicate overwrites an earlier one.
+        self._marks = np.empty(n_streams, dtype=np.int64)
+        self._positions = np.arange(n_streams)
 
     @property
     def config(self) -> WindowConfig:
@@ -319,7 +323,11 @@ class StreamingWindowBatch:
                 f"stream_ids must lie in [0, {self._n_streams}), got "
                 f"[{ids.min()}, {ids.max()}]"
             )
-        if np.unique(ids).size != ids.size:
+        if ids.size > self._n_streams:
+            raise ShapeError("stream_ids must not contain duplicates")
+        positions = self._positions[: ids.size]
+        self._marks[ids] = positions
+        if (self._marks[ids] != positions).any():
             raise ShapeError("stream_ids must not contain duplicates")
         return ids
 

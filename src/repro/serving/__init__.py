@@ -78,6 +78,7 @@ from .remote import (
     ResumeState,
 )
 from .service import (
+    EventBatch,
     MonitorService,
     ServiceStats,
     SessionEvent,
@@ -100,6 +101,7 @@ __all__ = [
     "AsyncShardedMonitor",
     "BulkScorer",
     "Counter",
+    "EventBatch",
     "EventStoreReader",
     "EventStoreWriter",
     "GatewayRunner",

@@ -6,9 +6,11 @@ failures — can be teed into an :class:`EventStoreWriter`, which
 persists them to **segmented, schema-versioned, append-only log
 files**.  The write path is designed around one invariant: *the hot
 tick loop never blocks on disk*.  ``append()`` encodes the record and
-pushes it onto a bounded in-memory ring; a background flusher thread
-batches rings into single ``write()`` calls, rotates segments at a
-size cap, and applies the configured fsync policy.  A full ring
+pushes it onto a bounded in-memory ring; ``append_batch()`` encodes a
+whole tick's :class:`~repro.serving.service.EventBatch` in one
+vectorised pass into one blob.  A background flusher thread batches
+the ring into single ``write()`` calls, rotates segments at a size
+cap, and applies the configured fsync policy.  A full ring
 degrades to a **counted drop** (``dropped_total``), never a stalled
 tick — the same fail-open posture as the shared-memory event ring.
 
@@ -49,8 +51,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+import numpy as np
+
 from ..errors import ConfigurationError, ProtocolError
-from .service import SessionEvent
+from .service import EventBatch, SessionEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import BinaryIO
@@ -83,6 +87,27 @@ _U64 = struct.Struct("<Q")
 _FLAG_UNSAFE = 0x01
 _FLAG_HAS_ERROR = 0x02
 
+#: The fixed-width head of an EVENT record — prefix, fixed payload and
+#: the session-id length — as one packed numpy record, so a whole
+#: :class:`EventBatch` encodes in a handful of array operations.  Field
+#: for field the same bytes as ``_RECORD_PREFIX`` + ``_EVENT_FIXED`` +
+#: ``_U16``.
+_EVENT_HEAD = np.dtype(
+    [
+        ("payload_len", "<u4"),
+        ("kind", "u1"),
+        ("seq", "<u8"),
+        ("frame", "<u8"),
+        ("gesture", "<i8"),
+        ("score", "<f8"),
+        ("flags", "u1"),
+        ("shard", "<i4"),
+        ("latency_us", "<f8"),
+        ("sid_len", "<u2"),
+    ]
+)
+assert _EVENT_HEAD.itemsize == _RECORD_PREFIX.size + _EVENT_FIXED.size + _U16.size
+
 #: fsync policies accepted by :class:`EventStoreWriter`.
 FSYNC_POLICIES = ("always", "rotate", "never")
 
@@ -112,6 +137,49 @@ def _encode_event(seq: int, event: SessionEvent, shard: int) -> bytes:
         payload.append(err)
     body = b"".join(payload)
     return _RECORD_PREFIX.pack(len(body), REC_EVENT) + body
+
+
+def _encode_batch(
+    first_seq: int, batch: EventBatch, shard: int | np.ndarray
+) -> tuple[bytes, np.ndarray]:
+    """EVENT records for every row of ``batch`` as one contiguous blob.
+
+    Returns ``(blob, record_lengths)``.  Byte for byte the join of
+    ``_encode_event`` over the rows (seqs ``first_seq`` onwards): the
+    fixed-width heads are built as one packed record array, then
+    interleaved with the utf-8 session ids by a boolean scatter.
+    ``shard`` is one shard index for the whole batch or one per row.
+    """
+    n = len(batch)
+    joined = "".join(batch.session_ids)
+    if joined.isascii():  # one encode for the lot; bytes == characters
+        sid_bytes = joined.encode("ascii")
+        sid_len = np.fromiter(map(len, batch.session_ids), dtype=np.int64, count=n)
+    else:
+        sids = [sid.encode("utf-8") for sid in batch.session_ids]
+        sid_bytes = b"".join(sids)
+        sid_len = np.fromiter(map(len, sids), dtype=np.int64, count=n)
+    heads = np.empty(n, dtype=_EVENT_HEAD)
+    heads["payload_len"] = _EVENT_FIXED.size + _U16.size + sid_len
+    heads["kind"] = REC_EVENT
+    heads["seq"] = np.arange(first_seq, first_seq + n, dtype=np.uint64)
+    heads["frame"] = batch.frame
+    heads["gesture"] = batch.gesture
+    heads["score"] = batch.score
+    heads["flags"] = batch.flag  # bit0 = unsafe; batches carry no error
+    heads["shard"] = shard
+    heads["latency_us"] = batch.latency_us
+    heads["sid_len"] = sid_len
+    # Every record is a head run then a session-id run: mark the id
+    # bytes by repeating (head, id) flags by their run lengths.
+    runs = np.empty(2 * n, dtype=np.int64)
+    runs[0::2] = _EVENT_HEAD.itemsize
+    runs[1::2] = sid_len
+    is_sid = np.repeat(np.arange(2 * n) % 2 == 1, runs)
+    out = np.empty(is_sid.size, dtype=np.uint8)
+    out[~is_sid] = heads.view(np.uint8)
+    out[is_sid] = np.frombuffer(sid_bytes, dtype=np.uint8)
+    return out.tobytes(), _EVENT_HEAD.itemsize + sid_len
 
 
 def _encode_marker(seq: int, marker: dict) -> bytes:
@@ -161,9 +229,10 @@ class EventStoreWriter:
         (default) — fsync only when a segment is closed; ``"never"`` —
         leave durability to the OS page cache.
     flush_interval_s:
-        Background flusher wake-up period; appends also wake it
-        eagerly, so this is the *idle* latency bound, not the throughput
-        batch size.
+        Background flusher period: the bound on how long a buffered
+        record waits before it is written.  Appends wake the flusher
+        early once the ring is half full, so a burst is written before
+        it can overflow the ring.
 
     Thread-safe: any number of threads may ``append`` concurrently
     (the K-shard tee paths do).  Counters — ``appended_total``,
@@ -198,7 +267,10 @@ class EventStoreWriter:
 
         self._lock = threading.Lock()
         self._io_lock = threading.Lock()
-        self._buf: deque[bytes] = deque()
+        #: Encoded blobs awaiting the flusher, each with the byte length
+        #: of every record it holds; ``_buffered`` counts the records.
+        self._buf: deque[tuple[bytes, np.ndarray]] = deque()
+        self._buffered = 0
         self._seq = 0
         self._closed = False
         self._wake = threading.Event()
@@ -223,32 +295,70 @@ class EventStoreWriter:
         self._flusher.start()
 
     # -- write path ----------------------------------------------------
+    def _push(self, blob: bytes, lengths: np.ndarray) -> None:
+        """Queue encoded records (caller holds ``_lock``).
+
+        The flusher is woken early only once the ring is half full;
+        otherwise it drains on its ``flush_interval_s`` period, so a
+        busy tick loop hands the flusher one coalesced drain per period
+        instead of one thread switch per append.
+        """
+        self._buf.append((blob, lengths))
+        n = len(lengths)
+        self._seq += n
+        self._buffered += n
+        self.appended_total += n
+        if 2 * self._buffered >= self.ring_capacity:
+            self._wake.set()
+
     def append(self, event: SessionEvent, shard: int = -1) -> bool:
         """Buffer one event; ``False`` (and a counted drop) when full."""
         with self._lock:
-            if self._closed or len(self._buf) >= self.ring_capacity:
+            if self._closed or self._buffered >= self.ring_capacity:
                 self.dropped_total += 1
                 return False
-            self._buf.append(_encode_event(self._seq, event, shard))
-            self._seq += 1
-            self.appended_total += 1
-        self._wake.set()
+            record = _encode_event(self._seq, event, shard)
+            self._push(record, np.array([len(record)]))
         return True
 
-    def append_batch(self, events: Iterable[SessionEvent], shard: int = -1) -> int:
-        """Buffer a batch of events; returns how many were accepted."""
-        accepted = 0
+    def append_batch(
+        self,
+        events: EventBatch | Iterable[SessionEvent],
+        shard: int | np.ndarray = -1,
+    ) -> int:
+        """Buffer a batch of events; returns how many were accepted.
+
+        An :class:`~repro.serving.service.EventBatch` is encoded in one
+        vectorised pass into one contiguous blob, and ``shard`` may then
+        also be one shard index per row.  Any other iterable of
+        :class:`SessionEvent` (fail-safe terminals carrying an
+        ``error``) is encoded record by record.  Either way the bytes
+        are those of per-event :meth:`append` calls.  A ring without
+        room for the whole batch accepts its longest fitting prefix and
+        counts the rest as drops.
+        """
+        if not isinstance(events, EventBatch):
+            events = list(events)
+        n = len(events)
+        if not n:
+            return 0
         with self._lock:
-            for event in events:
-                if self._closed or len(self._buf) >= self.ring_capacity:
-                    self.dropped_total += 1
-                    continue
-                self._buf.append(_encode_event(self._seq, event, shard))
-                self._seq += 1
-                self.appended_total += 1
-                accepted += 1
-        if accepted:
-            self._wake.set()
+            room = 0 if self._closed else self.ring_capacity - self._buffered
+            accepted = min(n, room)
+            self.dropped_total += n - accepted
+            if accepted:
+                if isinstance(events, EventBatch):
+                    if accepted < n:
+                        events = events[:accepted]
+                        if isinstance(shard, np.ndarray):
+                            shard = shard[:accepted]
+                    self._push(*_encode_batch(self._seq, events, shard))
+                else:
+                    records = [
+                        _encode_event(self._seq + k, event, shard)
+                        for k, event in enumerate(events[:accepted])
+                    ]
+                    self._push(b"".join(records), np.array([len(r) for r in records]))
         return accepted
 
     def append_marker(self, kind: str, data: dict | None = None) -> bool:
@@ -263,13 +373,11 @@ class EventStoreWriter:
         """
         marker = {"type": kind, **(data or {})}
         with self._lock:
-            if self._closed or len(self._buf) >= self.ring_capacity:
+            if self._closed or self._buffered >= self.ring_capacity:
                 self.dropped_total += 1
                 return False
-            self._buf.append(_encode_marker(self._seq, marker))
-            self._seq += 1
-            self.appended_total += 1
-        self._wake.set()
+            record = _encode_marker(self._seq, marker)
+            self._push(record, np.array([len(record)]))
         return True
 
     # -- flusher -------------------------------------------------------
@@ -294,47 +402,45 @@ class EventStoreWriter:
         with self._lock:
             if not self._buf:
                 return 0
-            chunks = list(self._buf)
+            entries = list(self._buf)
             self._buf.clear()
+            n_records, self._buffered = self._buffered, 0
+        data = memoryview(b"".join(blob for blob, _ in entries))
+        lengths = np.concatenate([lengths for _, lengths in entries])
+        ends = np.cumsum(lengths)
         total = 0
         with self._io_lock:
-            i, n_chunks = 0, len(chunks)
-            while i < n_chunks:
+            i, pos = 0, 0
+            while i < n_records:
                 # Rotate a non-empty segment that cannot fit the next
                 # record — checked per record, not per drain, so one
                 # large backlog flush still honours the size cap.
                 if (
                     self._file is not None
                     and self._file_bytes > _HEADER.size
-                    and self._file_bytes + len(chunks[i]) > self.segment_bytes
+                    and self._file_bytes + int(lengths[i]) > self.segment_bytes
                 ):
                     self._close_segment()
                 if self._file is None:
                     self._open_segment()
                 assert self._file is not None
-                # Coalesce everything that fits this segment into one
+                # Coalesce every record that fits this segment into one
                 # write.  An oversized record still goes out alone: a
                 # segment always carries at least one record.
-                group = len(chunks[i])
-                j = i + 1
-                while (
-                    j < n_chunks
-                    and self._file_bytes + group + len(chunks[j])
-                    <= self.segment_bytes
-                ):
-                    group += len(chunks[j])
-                    j += 1
-                self._file.write(b"".join(chunks[i:j]))
+                room = pos + self.segment_bytes - self._file_bytes
+                j = max(i + 1, int(np.searchsorted(ends, room, side="right")))
+                end = int(ends[j - 1])
+                self._file.write(data[pos:end])
                 self._file.flush()
                 if self.fsync == "always":
                     os.fsync(self._file.fileno())
-                self._file_bytes += group
-                total += group
-                i = j
+                self._file_bytes += end - pos
+                total += end - pos
+                i, pos = j, end
         with self._lock:
-            self.flushed_total += len(chunks)
+            self.flushed_total += n_records
             self.bytes_written += total
-        return len(chunks)
+        return n_records
 
     def _open_segment(self) -> None:
         path = self.root / f"events-{self._next_segment:08d}.seg"
@@ -394,7 +500,7 @@ class EventStoreWriter:
     def pending(self) -> int:
         """Records buffered but not yet flushed."""
         with self._lock:
-            return len(self._buf)
+            return self._buffered
 
     def stats(self) -> dict:
         """Writer counters, JSON-shaped for ``gateway_stats()``."""
@@ -403,7 +509,7 @@ class EventStoreWriter:
                 "appended": self.appended_total,
                 "dropped": self.dropped_total,
                 "flushed": self.flushed_total,
-                "pending": len(self._buf),
+                "pending": self._buffered,
                 "segments": self.segments_created,
                 "bytes_written": self.bytes_written,
                 "fsync": self.fsync,

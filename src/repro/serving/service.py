@@ -28,8 +28,8 @@ contractions and zero steady-state allocations (see
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> serving)
     from .eventstore import EventStoreWriter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SessionEvent:
     """One monitored frame of one session.
 
@@ -80,6 +80,100 @@ class SessionEvent:
     flag: bool
     error: str | None = None
     latency_us: float = field(default=0.0, compare=False, repr=False)
+
+    def __init__(
+        self,
+        session_id: str,
+        frame_index: int,
+        gesture: int,
+        score: float,
+        flag: bool,
+        error: str | None = None,
+        latency_us: float = 0.0,
+    ) -> None:
+        # Written out rather than generated: a tick builds one event per
+        # advanced session, and the generated frozen ``__init__`` pays
+        # one ``object.__setattr__`` call per field.  Storing the fields
+        # key by key, in field order, keeps the instance dict key-shared.
+        fields = self.__dict__
+        fields["session_id"] = session_id
+        fields["frame_index"] = frame_index
+        fields["gesture"] = gesture
+        fields["score"] = score
+        fields["flag"] = flag
+        fields["error"] = error
+        fields["latency_us"] = latency_us
+
+
+@dataclass(frozen=True, eq=False)
+class EventBatch:
+    """One tick's events as columns: the engine's native tick result.
+
+    Struct of arrays aligned row by row — row ``i`` is the event of
+    session ``session_ids[i]``.  :meth:`MonitorService.tick_batch`
+    builds it straight from the engine's per-slot arrays; the event
+    store encodes it in one vectorised pass
+    (:meth:`~repro.serving.eventstore.EventStoreWriter.append_batch`)
+    and a shard worker copies it column by column into its shm event
+    ring, so no per-event Python object exists between the tick and
+    the public edge.  :meth:`events` materialises the
+    :class:`SessionEvent` list that :meth:`MonitorService.tick` returns.
+
+    Batch rows are ordinary monitoring events: ``error`` is ``None`` on
+    every row (fail-safe terminals travel as :class:`SessionEvent`).
+    """
+
+    session_ids: list[str]
+    frame: np.ndarray  # int64 frame index within the session
+    gesture: np.ndarray  # int64, 0 while the gesture stage warms up
+    score: np.ndarray  # float64 unsafe probability (raw bits preserved)
+    flag: np.ndarray  # bool, score >= the monitor threshold
+    latency_us: np.ndarray  # float64 feed -> emission, observability only
+
+    def __len__(self) -> int:
+        return len(self.session_ids)
+
+    def __getitem__(self, rows: slice | np.ndarray) -> "EventBatch":
+        """The rows picked by a slice, a boolean mask or an index array."""
+        if isinstance(rows, slice):
+            session_ids = self.session_ids[rows]
+        else:
+            session_ids = np.asarray(self.session_ids, dtype=object)[rows].tolist()
+        return EventBatch(
+            session_ids,
+            self.frame[rows],
+            self.gesture[rows],
+            self.score[rows],
+            self.flag[rows],
+            self.latency_us[rows],
+        )
+
+    @classmethod
+    def empty(cls) -> "EventBatch":
+        """A zero-row batch (an idle tick)."""
+        return cls(
+            [],
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0),
+            np.empty(0, dtype=bool),
+            np.empty(0),
+        )
+
+    def events(self) -> list[SessionEvent]:
+        """The rows as :class:`SessionEvent` objects, in row order."""
+        return list(
+            map(
+                SessionEvent,
+                self.session_ids,
+                self.frame.tolist(),
+                self.gesture.tolist(),
+                self.score.tolist(),
+                self.flag.tolist(),
+                repeat(None),
+                self.latency_us.tolist(),
+            )
+        )
 
 
 @dataclass
@@ -262,60 +356,27 @@ class ServiceStats:
         return float(np.mean(self._ring[: self._filled]))
 
 
-class _Session:
-    """Internal per-session state: pending input and output timeline."""
+#: Initial per-slot depth of the pending-frame ring.  The ring doubles
+#: when a feed outgrows it and returns to this depth once every slot has
+#: drained, so a one-off backlog burst does not pin its memory.
+PENDING_RING_DEPTH = 16
 
-    __slots__ = (
-        "id",
-        "slot",
-        "pending",
-        "feed_ts",
-        "last_feed_ts",
-        "offset",
-        "frames_done",
-        "record_timeline",
-        "gestures",
-        "scores",
-    )
+
+class _Session:
+    """Internal per-session state: identity and recorded timeline.
+
+    Pending input and progress live in the service's per-slot arrays
+    (the pending ring, ``frames_done``), not here.
+    """
+
+    __slots__ = ("id", "slot", "record_timeline", "gestures", "scores")
 
     def __init__(self, session_id: str, slot: int, record_timeline: bool) -> None:
         self.id = session_id
         self.slot = slot
-        self.pending: deque[np.ndarray] = deque()
-        # One ingest timestamp per pending chunk (monotonic, taken at
-        # feed()); pop_frame_into latches the head chunk's timestamp so
-        # the tick loop can report frame-ingest→event-emission latency
-        # with one perf_counter call per tick, not per frame.
-        self.feed_ts: deque[float] = deque()
-        self.last_feed_ts = 0.0
-        self.offset = 0  # row cursor into the head chunk
-        self.frames_done = 0
         self.record_timeline = record_timeline
         self.gestures: list[int] = []
         self.scores: list[float] = []
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self.pending)
-
-    def pending_frames(self) -> int:
-        return sum(chunk.shape[0] for chunk in self.pending) - self.offset
-
-    def pop_frame_into(self, out: np.ndarray) -> None:
-        """Copy the next pending frame straight into ``out``.
-
-        Reads the contiguous head-chunk row in place — no intermediate
-        per-frame array, so the tick loop fills its preallocated frame
-        scratch with one row copy per advanced session.
-        """
-        head = self.pending[0]
-        self.last_feed_ts = self.feed_ts[0]
-        out[...] = head[self.offset]
-        self.offset += 1
-        if self.offset >= head.shape[0]:
-            self.pending.popleft()
-            self.feed_ts.popleft()
-            self.offset = 0
 
 
 class MonitorService:
@@ -371,17 +432,29 @@ class MonitorService:
         self._sessions: dict[str, _Session] = {}
         self._free_slots: list[int] = list(range(max_sessions - 1, -1, -1))
         self._next_id = 0
-        # Window batches and per-tick scratch are allocated on the first
+        # Window batches and the pending ring are allocated on the first
         # feed, when the kinematics feature width becomes known.
         self._gesture_batch: StreamingWindowBatch | None = None
         self._error_batch: StreamingWindowBatch | None = None
         self._n_features: int | None = None
-        self._slots_scratch: np.ndarray | None = None
-        self._frames_scratch: np.ndarray | None = None
         self._g_frames_scratch: np.ndarray | None = None
         self._feature_idx: np.ndarray | None = None
         self._current_gesture = np.zeros(max_sessions, dtype=np.int64)
         self._current_score = np.zeros(max_sessions)
+        # Per-slot columns the tick reads and writes with fancy indexing.
+        self._slot_ids = np.empty(max_sessions, dtype=object)
+        self._frames_done = np.zeros(max_sessions, dtype=np.int64)
+        self._recording = np.zeros(max_sessions, dtype=bool)
+        #: Open slots in session opening order (rebuilt lazily after an
+        #: open/close/import/eviction changed the set).
+        self._order: np.ndarray | None = None
+        # Pending ring: slot s holds count[s] frames starting at
+        # head[s] (mod depth) in pending[s], each with its feed stamp.
+        self._pending: np.ndarray | None = None
+        self._pending_ts: np.ndarray | None = None
+        self._head = np.zeros(max_sessions, dtype=np.int64)
+        self._count = np.zeros(max_sessions, dtype=np.int64)
+        self._n_pending = 0
         #: Backend cache per pipeline stage, keyed by the *model object*
         #: the backend was built from — fit() rebinds ``.model`` to a new
         #: object, so identity is the retrain signal.
@@ -457,16 +530,15 @@ class MonitorService:
     @property
     def has_pending(self) -> bool:
         """True while any open session has unprocessed frames."""
-        return any(s.has_pending for s in self._sessions.values())
+        return self._n_pending > 0
 
     def pending_frames(self, session_id: str) -> int:
         """Number of fed-but-unprocessed frames of one session."""
-        session = self._get(session_id)
-        return session.pending_frames() if session.has_pending else 0
+        return int(self._count[self._get(session_id).slot])
 
     def frames_done(self, session_id: str) -> int:
         """Number of frames one session has processed (ticked) so far."""
-        return self._get(session_id).frames_done
+        return int(self._frames_done[self._get(session_id).slot])
 
     def open_session(
         self, session_id: str | None = None, record_timeline: bool = True
@@ -514,7 +586,7 @@ class MonitorService:
                 f"all {self.max_sessions} session slots are in use"
             )
         slot = self._free_slots.pop()
-        self._sessions[session_id] = _Session(session_id, slot, record_timeline)
+        self._bind_slot(_Session(session_id, slot, record_timeline))
         self._current_gesture[slot] = 0
         self._current_score[slot] = 0.0
         if self._gesture_batch is not None:
@@ -533,8 +605,9 @@ class MonitorService:
         frames:
             ``(n, n_features)`` kinematics rows, or a single
             ``(n_features,)`` frame; any number, any cadence.  Frames are
-            consumed one per :meth:`tick`, in feed order.  The array is
-            not copied — callers must not mutate it afterwards.
+            consumed one per :meth:`tick`, in feed order.  The rows are
+            copied into the service's pending ring, so the caller may
+            reuse or mutate the array as soon as ``feed`` returns.
 
         Raises
         ------
@@ -543,7 +616,10 @@ class MonitorService:
             bound to on its first feed (or with the monitor's trained
             width, checked eagerly on that first feed).
         DatasetError
-            If no session ``session_id`` is open.
+            If no session ``session_id`` is open, or any value in
+            ``frames`` is NaN or infinite.  Non-finite kinematics are
+            refused whole — the monitor fails closed rather than score
+            garbage as a silent "safe".
 
         The first successful feed allocates the service's shared ring
         buffers and permanently binds its feature width.
@@ -564,8 +640,12 @@ class MonitorService:
                 f"service is bound to {self._n_features} features, "
                 f"got frames with {frames.shape[1]}"
             )
-        session.pending.append(frames)
-        session.feed_ts.append(time.perf_counter())
+        if not np.isfinite(frames).all():
+            raise DatasetError(
+                f"session {session_id!r}: non-finite kinematics frame "
+                f"(NaN or inf) rejected"
+            )
+        self._enqueue(session.slot, frames, time.perf_counter())
 
     def close_session(self, session_id: str) -> SessionResult:
         """Free the session's slot and return its full timeline.
@@ -574,8 +654,7 @@ class MonitorService:
         first to process them.
         """
         session = self._get(session_id)
-        del self._sessions[session_id]
-        self._free_slots.append(session.slot)
+        self._release(session)
         scores = np.asarray(session.scores)
         return SessionResult(
             session_id=session_id,
@@ -609,14 +688,13 @@ class MonitorService:
             the session untouched (a consistent point-in-time copy).
         """
         session = self._get(session_id)
-        if session.has_pending:
-            head = session.pending[0][session.offset :]
-            rest = list(session.pending)[1:]
-            pending = (
-                np.concatenate([head, *rest], axis=0) if rest else head.copy()
-            )
+        slot = session.slot
+        if self._pending is not None:
+            depth = self._pending.shape[1]
+            rows = (self._head[slot] + np.arange(self._count[slot])) % depth
+            pending = self._pending[slot, rows]
         else:
-            pending = np.empty((0, self._n_features or 0))
+            pending = np.empty((0, 0))
         gesture_window: WindowSlotState | None = None
         error_window: WindowSlotState | None = None
         if self._gesture_batch is not None:
@@ -625,7 +703,7 @@ class MonitorService:
             error_window = self._error_batch.export_slot(session.slot)
         state = SessionState(
             session_id=session.id,
-            frames_done=session.frames_done,
+            frames_done=int(self._frames_done[slot]),
             record_timeline=session.record_timeline,
             current_gesture=int(self._current_gesture[session.slot]),
             current_score=float(self._current_score[session.slot]),
@@ -637,8 +715,7 @@ class MonitorService:
             error_window=error_window,
         )
         if remove:
-            del self._sessions[session_id]
-            self._free_slots.append(session.slot)
+            self._release(session)
         return state
 
     def import_session(self, state: SessionState) -> str:
@@ -692,17 +769,16 @@ class MonitorService:
             self._free_slots.append(slot)
             raise
         session = _Session(state.session_id, slot, state.record_timeline)
-        session.frames_done = int(state.frames_done)
         session.gestures = [int(g) for g in state.gestures]
         session.scores = [float(s) for s in state.scores]
+        self._bind_slot(session)
+        self._frames_done[slot] = int(state.frames_done)
         pending = np.asarray(state.pending, dtype=float)
         if pending.shape[0]:
-            session.pending.append(pending)
             # Migrated frames are re-stamped at import: latency counts
             # time in *this* service, not transit (states don't carry
             # cross-process monotonic clocks).
-            session.feed_ts.append(time.perf_counter())
-        self._sessions[state.session_id] = session
+            self._enqueue(slot, pending, time.perf_counter())
         self._current_gesture[slot] = int(state.current_gesture)
         self._current_score[slot] = float(state.current_score)
         return state.session_id
@@ -717,8 +793,6 @@ class MonitorService:
         became ready this tick, then the error stage once per distinct
         active gesture over the ready error windows — one model forward
         per stage per tick, regardless of how many sessions advanced.
-        The advanced slots and their popped frames are staged in
-        preallocated scratch (no per-tick slot/stack arrays).
 
         Returns
         -------
@@ -729,30 +803,52 @@ class MonitorService:
             gesture 0 and score 0.0 while a session's windows are still
             warming up.
 
-        Each non-empty tick appends one latency sample to :attr:`stats`.
+        This is :meth:`tick_batch` with its :class:`EventBatch`
+        materialised as :class:`SessionEvent` objects.  Each non-empty
+        tick appends one latency sample to :attr:`stats`.
         """
-        active = [s for s in self._sessions.values() if s.has_pending]
-        if not active:
+        if not self._n_pending:
             return []
+        return self.tick_batch().events()
+
+    def tick_batch(self) -> EventBatch:
+        """:meth:`tick`, returning the events as one :class:`EventBatch`.
+
+        The columnar form every internal consumer takes — the event
+        store tee, the shard worker's shm event ring — without building
+        a Python object per event.  Rows are in session opening order;
+        an idle tick returns an empty batch.
+        """
+        if not self._n_pending:
+            return EventBatch.empty()
         start = time.perf_counter()
         assert (
             self._gesture_batch is not None
             and self._error_batch is not None
-            and self._slots_scratch is not None
-            and self._frames_scratch is not None
+            and self._pending is not None
+            and self._pending_ts is not None
         )
-        n_active = len(active)
-        slots = self._slots_scratch[:n_active]
-        frames = self._frames_scratch[:n_active]
-        for i, session in enumerate(active):
-            slots[i] = session.slot
-            session.pop_frame_into(frames[i])
+        order = self._order
+        if order is None:
+            order = self._order = np.fromiter(
+                (s.slot for s in self._sessions.values()),
+                dtype=np.int64,
+                count=len(self._sessions),
+            )
+        slots = order[self._count[order] > 0]
+        # One gather pops the head frame of every advanced slot.
+        head = self._head[slots]
+        frames = self._pending[slots, head]
+        fed_at = self._pending_ts[slots, head]
+        self._head[slots] = (head + 1) % self._pending.shape[1]
+        self._count[slots] -= 1
+        self._n_pending -= slots.size
 
         if self._feature_idx is None:
             g_frames = frames
         else:
             assert self._g_frames_scratch is not None
-            g_frames = self._g_frames_scratch[:n_active]
+            g_frames = self._g_frames_scratch[: slots.size]
             np.take(frames, self._feature_idx, axis=1, out=g_frames)
         g_ready, g_windows = self._gesture_batch.push(g_frames, slots)
         if g_ready.any():
@@ -783,42 +879,39 @@ class MonitorService:
                 ).reshape(-1)
             self._current_score[e_slots[known]] = new_scores[known]
 
-        threshold = self.monitor.threshold
-        events = []
         now = time.perf_counter()
-        n_flagged = 0
-        latency_hist = self.telemetry.histogram("alert_latency_us")
-        for session in active:
-            gesture = int(self._current_gesture[session.slot])
-            score = float(self._current_score[session.slot])
-            if session.record_timeline:
-                session.gestures.append(gesture)
-                session.scores.append(score)
-            flag = score >= threshold
-            n_flagged += flag
-            latency_us = (
-                (now - session.last_feed_ts) * 1e6 if session.last_feed_ts else 0.0
-            )
-            if latency_us > 0.0:
-                latency_hist.observe(latency_us)
-            events.append(
-                SessionEvent(
-                    session_id=session.id,
-                    frame_index=session.frames_done,
-                    gesture=gesture,
-                    score=score,
-                    flag=flag,
-                    latency_us=latency_us,
-                )
-            )
-            session.frames_done += 1
-        self.stats.record(1000.0 * (time.perf_counter() - start), len(active))
-        self.telemetry.counter("events_emitted").inc(len(events))
+        gesture = self._current_gesture[slots]
+        score = self._current_score[slots]
+        flag = score >= self.monitor.threshold
+        frame = self._frames_done[slots]
+        self._frames_done[slots] = frame + 1
+        latency_us = (now - fed_at) * 1e6
+        batch = EventBatch(
+            self._slot_ids[slots].tolist(), frame, gesture, score, flag, latency_us
+        )
+        recording = self._recording[slots]
+        if recording.any():
+            sessions = self._sessions
+            for session_id, g, p in zip(
+                compress(batch.session_ids, recording.tolist()),
+                gesture[recording].tolist(),
+                score[recording].tolist(),
+            ):
+                session = sessions[session_id]
+                session.gestures.append(g)
+                session.scores.append(p)
+        self.telemetry.histogram("alert_latency_us").observe_many(latency_us)
+        if not self._n_pending and self._pending.shape[1] > PENDING_RING_DEPTH:
+            self._alloc_pending(PENDING_RING_DEPTH)
+        n_events = slots.size
+        self.stats.record(1000.0 * (time.perf_counter() - start), n_events)
+        self.telemetry.counter("events_emitted").inc(n_events)
+        n_flagged = int(np.count_nonzero(flag))
         if n_flagged:
-            self.telemetry.counter("events_flagged").inc(int(n_flagged))
+            self.telemetry.counter("events_flagged").inc(n_flagged)
         if self.event_store is not None:
-            self.event_store.append_batch(events)
-        return events
+            self.event_store.append_batch(batch)
+        return batch
 
     def drain(self, collect: bool = True) -> list[SessionEvent]:
         """Tick until no session has pending frames.
@@ -827,11 +920,74 @@ class MonitorService:
         (throughput benchmarking); per-session timelines still accumulate.
         """
         events: list[SessionEvent] = []
-        while self.has_pending:
+        while self._n_pending:
             tick_events = self.tick()
             if collect:
                 events.extend(tick_events)
         return events
+
+    # ------------------------------------------------------------------
+    # Slots and the pending ring
+    # ------------------------------------------------------------------
+    def _bind_slot(self, session: _Session) -> None:
+        """Register a session on its (already reserved) slot."""
+        slot = session.slot
+        self._sessions[session.id] = session
+        self._slot_ids[slot] = session.id
+        self._recording[slot] = session.record_timeline
+        self._frames_done[slot] = 0
+        self._head[slot] = 0
+        self._count[slot] = 0
+        self._order = None
+
+    def _release(self, session: _Session) -> None:
+        """Forget a session and free its slot; its pending frames go."""
+        slot = session.slot
+        del self._sessions[session.id]
+        self._free_slots.append(slot)
+        self._slot_ids[slot] = None
+        self._n_pending -= int(self._count[slot])
+        self._count[slot] = 0
+        self._order = None
+
+    def _enqueue(self, slot: int, frames: np.ndarray, fed_at: float) -> None:
+        """Copy ``frames`` onto the tail of one slot's pending ring."""
+        assert self._pending is not None and self._pending_ts is not None
+        n = frames.shape[0]
+        count = int(self._count[slot])
+        depth = self._pending.shape[1]
+        if count + n > depth:
+            while depth < count + n:
+                depth *= 2
+            self._alloc_pending(depth)
+        tail = (int(self._head[slot]) + count) % depth
+        first = min(n, depth - tail)
+        self._pending[slot, tail : tail + first] = frames[:first]
+        self._pending_ts[slot, tail : tail + first] = fed_at
+        if first < n:  # wrap around to the start of the slot's ring
+            self._pending[slot, : n - first] = frames[first:]
+            self._pending_ts[slot, : n - first] = fed_at
+        self._count[slot] = count + n
+        self._n_pending += n
+
+    def _alloc_pending(self, depth: int) -> None:
+        """(Re)allocate the pending ring at ``depth`` frames per slot.
+
+        Live frames move over unrolled, so every head restarts at 0.
+        """
+        assert self._n_features is not None
+        pending = np.empty((self.max_sessions, depth, self._n_features))
+        stamps = np.empty((self.max_sessions, depth))
+        if self._pending is not None:
+            assert self._pending_ts is not None
+            old_depth = self._pending.shape[1]
+            for slot in np.flatnonzero(self._count).tolist():
+                head, count = int(self._head[slot]), int(self._count[slot])
+                rows = (head + np.arange(count)) % old_depth
+                pending[slot, :count] = self._pending[slot, rows]
+                stamps[slot, :count] = self._pending_ts[slot, rows]
+        self._pending, self._pending_ts = pending, stamps
+        self._head[:] = 0
 
     # ------------------------------------------------------------------
     def _get(self, session_id: str) -> _Session:
@@ -877,10 +1033,7 @@ class MonitorService:
         self._error_batch = StreamingWindowBatch(
             self.monitor.config.error_window, self.max_sessions, n_features
         )
-        # Per-tick staging scratch: slot ids and one popped frame per
-        # advanced session, reused across every tick.
-        self._slots_scratch = np.empty(self.max_sessions, dtype=np.int64)
-        self._frames_scratch = np.empty((self.max_sessions, n_features))
+        self._alloc_pending(PENDING_RING_DEPTH)
         if feature_idx is not None:
             self._feature_idx = np.asarray(feature_idx, dtype=np.intp)
             self._g_frames_scratch = np.empty((self.max_sessions, g_features))

@@ -67,7 +67,7 @@ import numpy as np
 from ..core.pipeline import SafetyMonitor
 from ..errors import ConfigurationError, DatasetError, ShapeError, WorkerError
 from ..nn.backends import DEFAULT_BACKEND, validate_backend_name
-from .service import ServiceStats, SessionEvent, SessionResult
+from .service import EventBatch, ServiceStats, SessionEvent, SessionResult
 from .telemetry import TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -1563,21 +1563,23 @@ class ShardedMonitorService:
         return record
 
     def _account_events(
-        self, events: list[SessionEvent]
+        self, batch: EventBatch
     ) -> list[tuple[int, SessionEvent]]:
+        """Deliver one shard tick: ``(order, event)`` pairs, teed once."""
+        events = batch.events()
         pairs = []
-        store = self.event_store
-        for event in events:
-            record = self._sessions.get(event.session_id)
+        shards = []
+        records = map(self._sessions.get, batch.session_ids)
+        for record, event in zip(records, events):
             if record is None:  # closed concurrently; still deliver
                 pairs.append((-1, event))
-                if store is not None:
-                    store.append(event, shard=-1)
+                shards.append(-1)
                 continue
             record.events_seen += 1
             pairs.append((record.order, event))
-            if store is not None:
-                store.append(event, shard=record.shard)
+            shards.append(record.shard)
+        if self.event_store is not None and events:
+            self.event_store.append_batch(batch, shard=np.array(shards, dtype=np.int32))
         if events:
             self.telemetry.counter("events_delivered").inc(len(events))
         return pairs
@@ -1594,7 +1596,7 @@ class ShardedMonitorService:
     # ------------------------------------------------------------------
     def _collect_ticks(
         self, handle: _ShardHandle, value: tuple
-    ) -> list[list[SessionEvent]]:
+    ) -> list[EventBatch]:
         """Materialise one tick/drain reply's event batches in order.
 
         ``value`` is the worker's ``(n_ring_batches, overflow_ticks)``:
@@ -1604,7 +1606,7 @@ class ShardedMonitorService:
         chronological order is ring batches then overflow.
         """
         n_ring, overflow = value
-        ticks: list[list[SessionEvent]] = []
+        ticks: list[EventBatch] = []
         for _ in range(n_ring):
             batch = (
                 handle.event_ring.read_events()
@@ -1621,30 +1623,28 @@ class ShardedMonitorService:
         return ticks
 
     def _decode_event_batch(
-        self, handle: _ShardHandle, batch: np.ndarray
-    ) -> list[SessionEvent]:
-        """Rebuild :class:`SessionEvent` objects from one ring record."""
-        events = []
-        for row in batch:
-            session_id = handle.routes.get(int(row["route"]))
-            if session_id is None:  # pragma: no cover - protocol guard
+        self, handle: _ShardHandle, record: np.ndarray
+    ) -> EventBatch:
+        """One ring record's columns as an :class:`EventBatch`."""
+        session_ids = list(map(handle.routes.get, record["route"].tolist()))
+        batch = EventBatch(
+            session_ids,
+            record["frame"].astype(np.int64),
+            record["gesture"],
+            record["score"],
+            (record["flags"] & 1).astype(bool),
+            record["latency_us"],
+        )
+        if None in session_ids:  # pragma: no cover - protocol guard
+            known = np.array([sid is not None for sid in session_ids])
+            for route in record["route"][~known].tolist():
                 logger.warning(
                     "shard %d emitted an event for unknown route %d",
                     handle.index,
-                    int(row["route"]),
+                    route,
                 )
-                continue
-            events.append(
-                SessionEvent(
-                    session_id=session_id,
-                    frame_index=int(row["frame"]),
-                    gesture=int(row["gesture"]),
-                    score=float(row["score"]),
-                    flag=bool(int(row["flags"]) & 1),
-                    latency_us=float(row["latency_us"]),
-                )
-            )
-        return events
+            batch = batch[known]
+        return batch
 
     def _ingest_failures(self) -> list[tuple[int, SessionEvent]]:
         """Convert stashed frame-ring rejections to fail-safe events.

@@ -16,7 +16,8 @@ rings the router created for this shard:
   followed it on the router thread — and opportunistically between
   requests (a short pipe poll timeout), which is what frees space for a
   back-pressured writer even when no request is in flight.
-- **event ring** (out): each tick's event batch is packed as one
+- **event ring** (out): the columns of each tick's
+  :class:`~repro.serving.service.EventBatch` are copied into one
   :data:`~repro.serving.shm.EVENT_DTYPE` record; the pipe reply carries
   only the batch count.  If the ring is momentarily full the remaining
   batches of that reply fall back to the pipe (``overflow``), so events
@@ -41,7 +42,7 @@ import numpy as np
 
 from ..errors import WorkerError
 from ..nn.backends import DEFAULT_BACKEND
-from .service import MonitorService, SessionEvent
+from .service import EventBatch, MonitorService
 from .shm import EVENT_DTYPE, ShmRing
 from .snapshot import monitor_from_bytes, session_from_bytes, session_to_bytes
 from .transport import Reply, Request, error_reply, recv_message
@@ -129,24 +130,25 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     # Event ring egress
     # ------------------------------------------------------------------
-    def _encode_events(self, events: list[SessionEvent]) -> np.ndarray:
-        if len(events) > self._event_scratch.shape[0]:
-            self._event_scratch = np.empty(len(events), dtype=EVENT_DTYPE)
-        batch = self._event_scratch[: len(events)]
-        for i, event in enumerate(events):
-            batch[i] = (
-                self._routes[event.session_id],
-                event.frame_index,
-                event.gesture,
-                event.score,
-                1 if event.flag else 0,
-                event.latency_us,
-            )
-        return batch
+    def _encode_events(self, batch: EventBatch) -> np.ndarray:
+        """Copy one tick's columns into an :data:`EVENT_DTYPE` record."""
+        n = len(batch)
+        if n > self._event_scratch.shape[0]:
+            self._event_scratch = np.empty(n, dtype=EVENT_DTYPE)
+        record = self._event_scratch[:n]
+        record["route"] = np.fromiter(
+            map(self._routes.__getitem__, batch.session_ids), dtype=np.uint64, count=n
+        )
+        record["frame"] = batch.frame
+        record["gesture"] = batch.gesture
+        record["score"] = batch.score
+        record["flags"] = batch.flag
+        record["latency_us"] = batch.latency_us
+        return record
 
     def emit_events(
-        self, tick_lists: list[list[SessionEvent]]
-    ) -> tuple[int, list[list[SessionEvent]]]:
+        self, ticks: list[EventBatch]
+    ) -> tuple[int, list[EventBatch]]:
         """Write per-tick event batches to the ring, oldest first.
 
         Returns ``(n_ring_batches, overflow_ticks)``.  Once one batch
@@ -156,13 +158,13 @@ class _ShardWorker:
         interleave them wrongly.
         """
         if self.event_ring is None:
-            return 0, tick_lists
+            return 0, ticks
         n_ring = 0
-        for k, events in enumerate(tick_lists):
-            if not events or not self.event_ring.try_write_events(
-                self._encode_events(events)
+        for k, batch in enumerate(ticks):
+            if not batch or not self.event_ring.try_write_events(
+                self._encode_events(batch)
             ):
-                return n_ring, tick_lists[k:]
+                return n_ring, ticks[k:]
             n_ring += 1
         return n_ring, []
 
@@ -182,13 +184,13 @@ def _dispatch(worker: _ShardWorker, request: Request) -> Reply:
         service.feed(request.session_id, request.frames)
         return Reply(ok=True)
     if op == "tick":
-        n_ring, overflow = worker.emit_events([service.tick()])
+        n_ring, overflow = worker.emit_events([service.tick_batch()])
         return Reply(ok=True, value=(n_ring, overflow))
     if op == "drain":
         if request.collect:
             ticks = []
             while service.has_pending:
-                ticks.append(service.tick())
+                ticks.append(service.tick_batch())
         else:
             service.drain(collect=False)
             ticks = []

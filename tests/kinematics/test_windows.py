@@ -246,6 +246,10 @@ class TestStreamingWindowBatch:
             batch.push(np.zeros((1, 3)), np.array([[0]]))
         with pytest.raises(ShapeError):
             batch.push(np.zeros((2, 3)), np.array([0, 0]))  # duplicate stream
+        with pytest.raises(ShapeError):
+            batch.push(np.zeros((3, 3)), np.array([1, 0, 1]))  # more ids than streams
+        ready, _ = batch.push(np.zeros((2, 3)), np.array([1, 0]))  # rejects left no trace
+        assert ready.tolist() == [False, False]
         # reset() enforces the same stream_ids contract as push().
         with pytest.raises(ShapeError):
             batch.reset(np.array([-1]))
